@@ -28,16 +28,19 @@ sampled subscription against the authoritative oracle, asserts the
 ``--wall-clock`` is the one measurement the cost model cannot make on
 a single core: real OS-process shards (``ProcessBackend``) with an
 injected per-frame delay on *every* shard, so a refresh cycle's
-evaluation time is visible as wall-clock. Sequentially the cycle costs
-``shards × d``; the overlapped scatter/gather path is bounded by the
-slowest host, ~``d``. The gate is overlapped ≥1.8x faster at 4 shards
-(the honest floor after spawn/codec overhead; the ideal is ~4x).
-Writes ``BENCH_e17.json``.
+evaluation time is visible as wall-clock. The sequential arm wraps
+the same backend in :class:`SerialBackend`, which holds every frame
+until no other frame is outstanding anywhere in the fleet, so the cycle
+costs ``shards × d``; the overlapped arm is bounded by the slowest
+host, ~``d``. Both arms run the one production dispatch path. The
+gate is overlapped ≥1.8x faster at 4 shards (the honest floor after
+spawn/codec overhead; the ideal is ~4x). Writes ``BENCH_e17.json``.
 """
 
 import random
 import sys
 import time
+from collections import deque
 
 import pytest
 
@@ -281,14 +284,46 @@ def smoke(n_subs=10_000, out_path="BENCH_e16.json", replicas=0):
     return record
 
 
-def _wall_clock_router(shards, delay, overlap):
+class SerialBackend:
+    """The sequential baseline as a transport adapter: wraps a
+    ``ProcessBackend`` and forwards a ``post`` only while no frame is
+    outstanding anywhere in the fleet, queueing the rest until a reply
+    (or failure event) comes back. Everything else is delegated."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self._held = deque()
+        self._busy = False
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def post(self, shard_id, message):
+        self._held.append((shard_id, message))
+        self._forward()
+
+    def collect(self, timeout):
+        events = self.inner.collect(timeout)
+        if events:
+            # At most one frame is ever outstanding: any event ends it.
+            self._busy = False
+            self._forward()
+        return events
+
+    def _forward(self):
+        if not self._busy and self._held:
+            self._busy = True
+            self.inner.post(*self._held.popleft())
+
+
+def _wall_clock_router(shards, delay, serial):
     """A real-process cluster where every shard sleeps ``delay`` per
     frame — evaluation time made visible without real query load."""
+    backend = ProcessBackend(slow={i: delay for i in range(shards)})
     router = ClusterRouter(
         shards=shards,
         seed=16,
-        backend=ProcessBackend(slow={i: delay for i in range(shards)}),
-        overlap=overlap,
+        backend=SerialBackend(backend) if serial else backend,
     )
     router.declare_table(
         "stocks",
@@ -351,8 +386,8 @@ def wall_clock(
     from repro.bench.harness import format_table
 
     timings = {}
-    for label, overlap in (("sequential", False), ("overlapped", True)):
-        router, tids, sql = _wall_clock_router(shards, delay, overlap)
+    for label, serial in (("sequential", True), ("overlapped", False)):
+        router, tids, sql = _wall_clock_router(shards, delay, serial)
         try:
             timings[label] = _wall_clock_cycles(router, tids, cycles)
             got = sorted(r.values for r in router.result("bench", "watch"))

@@ -1,13 +1,12 @@
-"""Overlapped scatter/gather: one cycle's dispatch/gather state machine.
+"""The cluster's one dispatch path: post every frame, gather replies.
 
-The sequential router drove every store through a blocking
-send-then-gather, so a cycle's wall-clock was the *sum* of per-store
-round-trips and one slow shard stalled everyone behind it.
-:class:`CycleEngine` replaces that loop for the refresh path: every
-frame the cycle plans (scatters, heartbeats, replica lockstep slices)
-is dispatched up front, then replies are gathered as they arrive from
-whichever host answers first, so the cycle's wall-clock is bounded by
-the slowest *host*, not the fleet.
+Every router→shard frame goes through :class:`CycleEngine`: a refresh
+cycle's scatters, heartbeats and replica lockstep slices, and every
+control-plane operation's frames (subscription seeding, re-slices,
+handoffs, promotions, rebuilds, rejoins, drains). A run dispatches
+its frames up front and gathers replies as they arrive from whichever
+host answers first, so a run's wall-clock is bounded by the slowest
+*host*, not the sum over the fleet.
 
 The engine is transport-agnostic: it drives any backend exposing the
 non-blocking trio ``post(host, message)`` / ``collect(timeout)`` /
@@ -22,13 +21,12 @@ Bookkeeping rules the rest of the router relies on:
 
 * **One clock.** Every per-request deadline and retry timer is a
   ``time.monotonic`` instant; the gather wait is sized to the nearest
-  timer, so a host backing off never stalls another host's gather
-  (this replaces the blocking backoff sleep inside the sequential
-  ``_send``).
-* **Same failure accounting.** A deadline miss counts a scatter
-  timeout and one health failure, a retry counts a scatter retry, and
-  exhaustion hands the host to ``ClusterRouter._on_host_down`` —
-  byte-for-byte the sequential schedule, just without the sleeps. A
+  timer, so a host backing off never stalls another host's gather and
+  no retry blocks in a backoff sleep.
+* **Failure accounting.** A deadline miss counts a scatter timeout and
+  one health failure, a retry counts a scatter retry, and exhaustion
+  of a :data:`FRAME` hands the host to ``ClusterRouter._on_host_down``
+  (a :data:`DRAIN` is best-effort and leaves the host in service). A
   torn connection whose process is actually gone
   (``not host_alive(host)``) fails fast instead of burning the
   remaining ``retries × backoff`` wall-clock; the health machine still
@@ -41,14 +39,13 @@ Bookkeeping rules the rest of the router relies on:
   the router absorbs them after ``run()`` in sorted group/placement
   order, so merge and notification order never depend on which host
   answered first.
-* **Failover inside the cycle.** When a host exhausts its schedule the
+* **Failover inside the run.** When a host exhausts its schedule the
   router's ``_on_host_down`` runs immediately; promotions it triggers
   are submitted back into the engine at the *front* of the target
-  host's queue, so a promote still precedes the new primary's scatter
-  whenever that frame has not been dispatched yet (the bit-identical
+  host's queue, so a promote precedes the new primary's queued frames
+  whenever they have not been dispatched yet (the bit-identical
   failover path). If the lockstep frame already ran, the promote's
-  horizon mismatch queues the exact reconcile, exactly as the
-  sequential loop's ordering would.
+  horizon mismatch queues the exact reconcile.
 """
 
 from __future__ import annotations
@@ -61,19 +58,13 @@ from repro.errors import ClusterError, ShardTimeout
 from repro.metrics import Metrics
 from repro.net.messages import GatherReplyMessage, Message
 
-#: Engine request kinds: ``refresh`` replies feed the merge via the
-#: router's end-of-cycle absorb; ``promote`` replies complete a
-#: failover via ``_finish_promote``.
-REFRESH = "refresh"
+#: Engine request kinds: ``frame`` replies are recorded for the
+#: caller and exhaustion fails the host over; ``drain`` is the same but
+#: best-effort (exhaustion leaves the host in service); ``promote``
+#: replies complete a failover via ``_finish_promote``.
+FRAME = "frame"
+DRAIN = "drain"
 PROMOTE = "promote"
-
-
-def supports_overlap(backend) -> bool:
-    """Whether ``backend`` exposes the non-blocking dispatch trio."""
-    return all(
-        callable(getattr(backend, name, None))
-        for name in ("post", "collect", "host_alive")
-    )
 
 
 class _Request:
@@ -96,7 +87,7 @@ class _Request:
         seq = getattr(message, "seq", None)
         if not isinstance(seq, int):
             raise ClusterError(
-                f"cycle frames need an integer seq to pair replies; got "
+                f"engine frames need an integer seq to pair replies; got "
                 f"{seq!r} on {type(message).__name__}"
             )
         self.host = host
@@ -116,7 +107,7 @@ class _Request:
 
 
 class CycleEngine:
-    """Dispatch-all-then-gather driver for one router refresh cycle."""
+    """Dispatch-all-then-gather driver for one batch of router frames."""
 
     def __init__(self, router, max_wait: float = 0.25):
         self.router = router
@@ -131,8 +122,8 @@ class CycleEngine:
         #: other side is serial; pipelining buys nothing and would
         #: break request/reply pairing on timeout).
         self._outstanding: Dict[int, _Request] = {}
-        #: ``(host, group) -> reply`` for refresh-kind frames; the
-        #: router absorbs these in sorted order after :meth:`run`.
+        #: ``(host, group) -> reply`` for frame- and drain-kind
+        #: requests; the router reads these after :meth:`run`.
         self.replies: Dict[Tuple[int, int], GatherReplyMessage] = {}
 
     # -- submission ---------------------------------------------------------
@@ -142,7 +133,7 @@ class CycleEngine:
         host: int,
         group: int,
         message: Message,
-        kind: str = REFRESH,
+        kind: str = FRAME,
         front: bool = False,
         context=None,
     ) -> None:
@@ -151,7 +142,7 @@ class CycleEngine:
         ``front=True`` (promotions) jumps the not-yet-dispatched part
         of the queue: the promote precedes the new primary's lockstep
         scatter when that scatter has not gone out yet, preserving the
-        sequential loop's bit-identical failover ordering.
+        bit-identical failover ordering.
         """
         request = _Request(host, group, message, kind, context)
         queue = self._queues.setdefault(host, deque())
@@ -257,7 +248,7 @@ class CycleEngine:
             # Either a seqless frame (never pairable), the original
             # answer of a timed-out attempt whose retry already paired
             # (same seq, already in the completed set), or a leftover
-            # from a previous cycle. All are discarded, never matched.
+            # from a previous run. All are discarded, never matched.
             self.metrics.count(Metrics.STALE_REPLIES)
             return
         del self._outstanding[host]
@@ -306,12 +297,12 @@ class CycleEngine:
         self._outstanding.pop(host, None)
         request.failed = True
         self._settle(request)
-        if request.kind == REFRESH:
+        if request.kind == FRAME:
             self.router._on_host_down(host)
             self._abandon(host)
 
     def _abandon(self, host: int) -> None:
-        """Drop a downed host's remaining frames (it left the cycle)."""
+        """Drop a downed host's remaining frames (it left the run)."""
         queue = self._queues.get(host)
         if queue:
             queue.clear()

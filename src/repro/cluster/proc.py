@@ -6,14 +6,16 @@ talks to the router over a pipe carrying codec-encoded frames — the
 same wire representation the simulated network uses, so every scatter
 and gather reply round-trips through serialization for real.
 
-``send`` bounds the reply wait with ``conn.poll(timeout)``: a wedged
-(not dead) worker raises :class:`~repro.errors.ShardTimeout` instead of
-hanging the router forever, and replies are paired to requests by
-``seq`` — stale replies a previous timed-out request left in (or late
-into) the pipe are discarded — so combined with the shard-side
-seq-dedup reply cache, timeout + retry is safe at-least-once
-delivery. ``kill`` terminates the worker without any
-shutdown handshake — the honest version of the crash
+The router drives it through the
+:class:`~repro.cluster.dispatch.CycleEngine` trio: ``post`` writes a
+frame without waiting, ``collect`` multiplexes every shard pipe for
+replies, and ``host_alive`` is the process-level fail-fast signal.
+Deadlines live in the engine, so a wedged (not dead) worker times out
+instead of hanging the router, and replies pair with requests by
+``seq`` — a late reply of a timed-out attempt is discarded and counted
+stale — so combined with the shard-side seq-dedup reply cache, timeout
++ retry is safe at-least-once delivery. ``kill`` terminates the worker
+without any shutdown handshake — the honest version of the crash
 :meth:`ClusterRouter.kill_shard` simulates — escalating to
 ``Process.kill`` when the process ignores SIGTERM; ``stop`` is the
 planned counterpart (drain sentinel, clean join) used by
@@ -30,9 +32,9 @@ import multiprocessing.connection
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ClusterError, ShardTimeout
+from repro.errors import ClusterError
 from repro.net.codec import decode_payload, encode_payload
-from repro.net.messages import GatherReplyMessage, Message, ShardHelloMessage
+from repro.net.messages import Message, ShardHelloMessage
 from repro.cluster.shard import ShardHost, TableDecl
 
 #: Pipe sentinel asking the worker to exit cleanly (planned removal and
@@ -87,20 +89,13 @@ class ProcessBackend:
         self,
         wal_root: Optional[str] = None,
         columnar: bool = False,
-        timeout: Optional[float] = 30.0,
         slow: Optional[Dict[int, float]] = None,
     ):
         self.wal_root = wal_root
         self.columnar = columnar
-        #: Default reply deadline in seconds (None waits forever — the
-        #: pre-deadline behavior, kept reachable but not default).
-        self.timeout = timeout
         #: Per-shard injected handling delay in seconds (wall-clock
         #: benchmarks and bounded-by-slowest tests).
         self.slow = dict(slow or {})
-        #: Replies discarded because they could not be paired with the
-        #: in-flight request's seq (late answers of timed-out attempts).
-        self.stale_replies = 0
         self._ctx = multiprocessing.get_context("spawn")
         self._procs: Dict[int, multiprocessing.Process] = {}
         self._conns: Dict[int, object] = {}
@@ -138,58 +133,7 @@ class ProcessBackend:
     def spawn(self, shard_id: int, decls: Sequence[TableDecl]) -> ShardHelloMessage:
         return self._launch(shard_id, decls, recovered=False)
 
-    def send(
-        self,
-        shard_id: int,
-        message: Message,
-        timeout: Optional[float] = None,
-    ) -> GatherReplyMessage:
-        conn = self._conns.get(shard_id)
-        if conn is None:
-            raise ClusterError(f"shard {shard_id} is not running")
-        seq = getattr(message, "seq", None)
-        if not isinstance(seq, int):
-            # Pairing is by seq, and ``None == None`` would "match" a
-            # stale seqless reply to a new seqless request — so a
-            # request without an explicit integer seq is refused
-            # outright rather than paired by luck.
-            raise ClusterError(
-                f"message to shard {shard_id} needs an integer seq for "
-                f"reply pairing; got {seq!r} on {type(message).__name__}"
-            )
-        deadline = self.timeout if timeout is None else timeout
-        try:
-            # A previous request may have timed out after the worker
-            # applied the frame: its late reply is still in the pipe and
-            # would desynchronize request/reply pairing. Drain what's
-            # already buffered, then match the reply by seq — a wedged
-            # worker can surface its stale reply *after* this drain, so
-            # pairing can't rely on the drain alone. The shard-side seq
-            # cache keeps the retry exactly-once either way.
-            while conn.poll(0):
-                conn.recv_bytes()
-                self.stale_replies += 1
-            conn.send_bytes(encode_payload(message))
-            expires = (
-                None if deadline is None else time.monotonic() + deadline
-            )
-            while True:
-                if expires is not None:
-                    remaining = expires - time.monotonic()
-                    if remaining <= 0 or not conn.poll(remaining):
-                        raise ShardTimeout(
-                            f"shard {shard_id} timed out after {deadline}s"
-                        )
-                reply = decode_payload(conn.recv_bytes())
-                if getattr(reply, "seq", None) == seq:
-                    return reply
-                self.stale_replies += 1
-        except (EOFError, OSError, BrokenPipeError):
-            raise ClusterError(
-                f"shard {shard_id} died mid-request"
-            ) from None
-
-    # -- overlapped dispatch (CycleEngine transport trio) -------------------
+    # -- dispatch (CycleEngine transport trio) ------------------------------
 
     def post(self, shard_id: int, message: Message) -> None:
         """Non-blocking dispatch: frame goes out, reply is collected

@@ -71,11 +71,10 @@ from __future__ import annotations
 import queue
 import random
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ClusterError, RegistrationError, ShardTimeout
+from repro.errors import ClusterError, RegistrationError
 from repro.metrics import Metrics
 from repro.relational.algebra import SPJQuery
 from repro.relational.expressions import ColumnRef, Literal
@@ -90,7 +89,7 @@ from repro.delta.diff import diff
 from repro.delta.differential import DeltaEntry, DeltaRelation
 from repro.dra.predindex import PredicateIndex
 from repro.obs.export import prometheus_text
-from repro.cluster.dispatch import CycleEngine, PROMOTE, supports_overlap
+from repro.cluster.dispatch import DRAIN, PROMOTE, CycleEngine
 from repro.cluster.health import ALIVE, HealthMonitor
 from repro.cluster.ring import HashRing, Partition, partition_filter
 from repro.cluster.shard import ClusterShard, ShardHost, TableDecl
@@ -107,6 +106,9 @@ from repro.net.messages import (
 #: ``(cq_name, delta, ts)`` notification callback.
 DeltaCallback = Callable[[str, DeltaRelation, Timestamp], None]
 
+#: One router→shard request: ``(host, group, message)``.
+Frame = Tuple[int, int, Message]
+
 
 class LocalBackend:
     """Shard hosts as in-process objects (tests, benchmarks, examples).
@@ -121,11 +123,11 @@ class LocalBackend:
     connection drops at exact protocol points — including the
     "frame applied, reply lost" window the seq-dedup cache covers.
 
-    The overlapped-dispatch trio (``post``/``collect``/``host_alive``)
-    runs each posted frame on a thread pool and drains finished
-    replies through a queue — hosts overlap, frames to one host stay
-    serial (the engine keeps one outstanding request per host, like a
-    real pipe to a single-threaded worker). ``shuffle_seed`` reorders
+    The dispatch trio (``post``/``collect``/``host_alive``) runs each
+    posted frame on a thread pool and drains finished replies through
+    a queue — hosts overlap, frames to one host stay serial (the
+    engine keeps one outstanding request per host, like a real pipe to
+    a single-threaded worker). ``shuffle_seed`` reorders
     each ``collect`` batch deterministically, the out-of-order
     equivalence tests' way of proving the merge is
     arrival-independent.
@@ -147,7 +149,7 @@ class LocalBackend:
         )
         self._pool: Optional[ThreadPoolExecutor] = None
         self._results: "queue.Queue[tuple]" = queue.Queue()
-        #: Per-shard serialization for the overlapped path: the engine
+        #: Per-shard serialization of handled frames: the engine
         #: bounds *outstanding* requests to one per host, but a retry
         #: fired while a slow handle() still occupies a pool thread
         #: would otherwise run a second concurrent handle() on the
@@ -163,22 +165,6 @@ class LocalBackend:
         )
         self.shards[shard_id] = host
         return host.hello()
-
-    def send(
-        self,
-        shard_id: int,
-        message: Message,
-        timeout: Optional[float] = None,
-    ) -> GatherReplyMessage:
-        host = self.shards.get(shard_id)
-        if host is None:
-            raise ClusterError(f"shard {shard_id} is not running")
-        if self.fault_hook is not None:
-            self.fault_hook(shard_id, message, "send")
-        reply = host.handle(message)
-        if self.fault_hook is not None:
-            self.fault_hook(shard_id, message, "reply")
-        return reply
 
     def kill(self, shard_id: int) -> None:
         if self.shards.pop(shard_id, None) is None:
@@ -213,7 +199,7 @@ class LocalBackend:
     def alive(self) -> List[int]:
         return sorted(self.shards)
 
-    # -- overlapped dispatch (CycleEngine transport trio) -------------------
+    # -- dispatch (CycleEngine transport trio) ------------------------------
 
     def post(self, shard_id: int, message: Message) -> None:
         """Non-blocking dispatch: ``handle`` runs on a pool thread and
@@ -344,8 +330,6 @@ class ClusterRouter:
         suspect_after: int = 1,
         dead_after: int = 2,
         backoff_base: float = 0.05,
-        sleep: Optional[Callable[[float], None]] = None,
-        overlap: bool = True,
         weights: Optional[Dict[int, float]] = None,
     ):
         if shards < 1:
@@ -372,16 +356,11 @@ class ClusterRouter:
         )
         self._request_timeout = request_timeout
         self._retries = retries
-        self._sleep = time.sleep if sleep is None else sleep
-        #: Overlapped dispatch: plan every frame up front, gather
-        #: replies as they arrive (requires a backend exposing the
-        #: post/collect/host_alive trio; falls back to the sequential
-        #: loop otherwise). ``overlap=False`` keeps the sequential
-        #: loop — the wall-clock benchmarks' baseline.
-        self.overlap = overlap
         #: Initial per-shard placement weights (heterogeneous fleets);
         #: :meth:`add_shard` takes a ``weight=`` for later joiners.
         self._initial_weights = dict(weights or {})
+        #: The engine run in progress; a promote triggered mid-run
+        #: joins it at the front of its target's queue.
         self._engine: Optional[CycleEngine] = None
         self._n_initial = shards
         self._decls: Dict[str, TableDecl] = {}
@@ -595,53 +574,47 @@ class ClusterRouter:
 
     # -- transport ----------------------------------------------------------
 
-    def _send(self, host: int, message: Message) -> Optional[GatherReplyMessage]:
-        """One request under the deadline/retry/backoff policy.
+    def _dispatch(
+        self, frames: Sequence[Frame], **submit
+    ) -> Dict[Tuple[int, int], GatherReplyMessage]:
+        """Drive ``frames`` through one :class:`CycleEngine` run — the
+        only way a frame reaches a shard.
 
-        Returns the reply, or None once the host has exhausted its
-        retries (the caller decides the failover). Never raises: a
-        timeout and a torn connection both feed the health state
-        machine as a missed ack. A torn connection whose process is
-        actually gone fails fast — no backoff schedule can heal it, so
-        burning ``retries × backoff`` of wall-clock before the
-        failover would only delay the promotion (the health machine
-        still ends at *dead* through ``_on_host_down``). Retries are
-        safe because shard stores dedup by ``seq`` and return the
-        cached reply, so at-least-once delivery stays exactly-once
-        application.
+        Frames to one host go out in list order, frames to different
+        hosts overlap. Every request runs under the deadline/retry/
+        backoff policy; a host that exhausts it on a ``FRAME`` (the
+        default ``kind`` in ``submit``) is taken down inside the run,
+        ``DRAIN`` frames are best-effort, and the promotions a failover
+        triggers join this run at the front of their target's queue.
+        Returns ``{(host, group): reply}`` for the answered frames (the
+        last answer, should several frames share a key).
         """
-        if host in self._dead:
-            return None
-        attempts = max(1, self._retries + 1)
-        for attempt in range(1, attempts + 1):
-            if attempt > 1:
-                self.metrics.count(Metrics.SCATTER_RETRIES)
-                self._sleep(self.health.backoff(attempt - 1))
-            try:
-                reply = self.backend.send(
-                    host, message, timeout=self._request_timeout
-                )
-            except ShardTimeout:
-                self.metrics.count(Metrics.SCATTER_TIMEOUTS)
-                self._record_failure(host)
-                continue
-            except ClusterError:
-                self._record_failure(host)
-                if not self._backend_alive(host):
-                    self.metrics.count(Metrics.SCATTER_FAILFASTS)
-                    break
-                continue
-            self.health.success(host)
-            return reply
-        return None
+        engine = CycleEngine(self)
+        for host, group, message in frames:
+            engine.submit(host, group, message, **submit)
+        self._engine = engine
+        try:
+            engine.run()
+        finally:
+            self._engine = None
+        return engine.replies
 
-    def _backend_alive(self, host: int) -> bool:
-        """Process-level liveness, tolerant of backends without the
-        overlapped-dispatch trio."""
-        probe = getattr(self.backend, "host_alive", None)
-        if callable(probe):
-            return bool(probe(host))
-        return host in self.backend.alive()
+    def _scatter(
+        self, host: int, group: int, ts: Timestamp, **fields
+    ) -> Frame:
+        """One control-plane scatter frame under the next ``seq``."""
+        self._seq += 1
+        return (
+            host,
+            group,
+            ScatterMessage(host, self._seq, ts, group=group, **fields),
+        )
+
+    def _live_hosts(self, group: int) -> List[int]:
+        """``group``'s placement minus dead hosts, primary first."""
+        return [
+            h for h in self._placement.get(group, ()) if h not in self._dead
+        ]
 
     def _record_failure(self, host: int) -> None:
         before = self.health.state(host)
@@ -726,8 +699,14 @@ class ClusterRouter:
                 for ref in query.relations
             }
             self.index.add(sql_key, query, scopes)
-            for group in sorted(owners):
-                self._seed_group(group, sql_key, query)
+            now = self.db.now()
+            self._dispatch(
+                [
+                    frame
+                    for group in sorted(owners)
+                    for frame in self._seed_frames(group, sql_key, query, now)
+                ]
+            )
         members = self._members[sql_key]
         if members:
             # Joining an existing group: share its retained result
@@ -760,28 +739,18 @@ class ClusterRouter:
         if members:
             return
         sql_key = sub.sql_key
+        frames = []
         for group in sorted(self._owners[sql_key]):
-            hosts = [
-                h
-                for h in self._placement.get(group, ())
-                if h not in self._dead
-            ]
-            if not hosts:
-                continue
-            # Only the primary holds the registration; replicas carry
-            # tables, not subscriptions.
-            self._seq += 1
-            if self._send(
-                hosts[0],
-                ScatterMessage(
-                    hosts[0],
-                    self._seq,
-                    self.db.now(),
-                    unsubscribe=[sql_key],
-                    group=group,
-                ),
-            ) is None:
-                self._on_host_down(hosts[0])
+            hosts = self._live_hosts(group)
+            if hosts:
+                # Only the primary holds the registration; replicas
+                # carry tables, not subscriptions.
+                frames.append(
+                    self._scatter(
+                        hosts[0], group, self.db.now(), unsubscribe=[sql_key]
+                    )
+                )
+        self._dispatch(frames)
         self.index.remove(sql_key)
         for registry in (
             self._queries,
@@ -792,26 +761,19 @@ class ClusterRouter:
             registry.pop(sql_key, None)
         self._parallel.discard(sql_key)
 
-    def _seed_group(
-        self,
-        group: int,
-        sql_key: str,
-        query: SPJQuery,
-        now: Optional[Timestamp] = None,
-    ) -> None:
-        """Install one ``sql_key`` on every live store of ``group``:
-        baseline-sync every touched table (sliced for partitioned
-        tables), registering the CQ on the primary only — replicas get
-        lockstep tables without subscriptions. The local baseline diff
-        makes re-seeding an already current table free, so this is
-        always sound — it closes any gap left by earlier
+    def _seed_frames(
+        self, group: int, sql_key: str, query: SPJQuery, ts: Timestamp
+    ) -> List[Frame]:
+        """The frames installing one ``sql_key`` on every live store of
+        ``group``: baseline-sync every touched table (sliced for
+        partitioned tables), registering the CQ on the primary only —
+        replicas get lockstep tables without subscriptions. The local
+        baseline diff makes re-seeding an already current table free,
+        so this is always sound — it closes any gap left by earlier
         relevance-skipped scatters."""
-        hosts = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
-        ts = self.db.now() if now is None else now
         tables = sorted(set(query.table_names))
-        for index, host in enumerate(hosts):
+        frames = []
+        for index, host in enumerate(self._live_hosts(group)):
             baselines = {
                 name: self._shard_view(name, group) for name in tables
             }
@@ -820,19 +782,12 @@ class ClusterRouter:
                 if index == 0
                 else None
             )
-            self._seq += 1
-            if self._send(
-                host,
-                ScatterMessage(
-                    host,
-                    self._seq,
-                    ts,
-                    baselines=baselines,
-                    subscribe=subscribe,
-                    group=group,
-                ),
-            ) is None:
-                self._on_host_down(host)
+            frames.append(
+                self._scatter(
+                    host, group, ts, baselines=baselines, subscribe=subscribe
+                )
+            )
+        return frames
 
     def _shard_view(self, table: str, group: int) -> Relation:
         """The slice of a table's authoritative state one group holds."""
@@ -933,19 +888,41 @@ class ClusterRouter:
         if not self._started:
             raise ClusterError("start() the cluster before refreshing")
         now = self.db.now()
+        windows: Dict[Timestamp, Tuple[Dict, Set[str]]] = {}
+        slices: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]] = {}
+        # Planning order (sorted groups, placement order within a group)
+        # fixes the per-host FIFO queues, so a group's primary frame
+        # precedes its replicas' on a shared host.
+        replies = self._dispatch(
+            [
+                (
+                    host,
+                    group,
+                    self._plan(host, group, now, collect, windows, slices),
+                )
+                for group in sorted(self._placement)
+                for host in self._live_hosts(group)
+            ]
+        )
+        # Absorb in sorted group/placement order, so merge inputs and
+        # notification order never depend on arrival order. Hosts that
+        # died mid-cycle are skipped: ``_on_host_down`` removed their
+        # bookkeeping, which a reply that landed before the verdict
+        # must not resurrect.
         pending: Dict[str, List[DeltaRelation]] = {}
         ts_by_key: Dict[str, Timestamp] = {}
-        windows: Dict[Timestamp, Tuple[Dict, Set[str]]] = {}
-        frames: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]] = {}
-        if self.overlap and supports_overlap(self.backend):
-            self._refresh_overlapped(
-                now, collect, windows, frames, pending, ts_by_key
-            )
-        else:
-            for group in sorted(self._placement):
-                self._refresh_group(
-                    group, now, collect, windows, frames, pending, ts_by_key
-                )
+        for group in sorted(self._placement):
+            hosts = self._live_hosts(group)
+            for host in hosts:
+                reply = replies.get((host, group))
+                if reply is not None:
+                    self._absorb(
+                        host,
+                        group,
+                        reply,
+                        pending if host == hosts[0] else None,
+                        ts_by_key,
+                    )
         notified = self._merge_and_notify(pending, ts_by_key, now)
         self._drain_rereplication(now)
         if self._reconcile_keys:
@@ -956,95 +933,6 @@ class ClusterRouter:
             self.collect_garbage()
         return notified
 
-    def _refresh_overlapped(
-        self,
-        now: Timestamp,
-        collect: bool,
-        windows: Dict,
-        frames: Dict,
-        pending: Dict[str, List[DeltaRelation]],
-        ts_by_key: Dict[str, Timestamp],
-    ) -> None:
-        """Dispatch every store's frame up front, gather as they land.
-
-        Planning order (sorted groups, placement order within a group)
-        fixes the per-host FIFO queues, so a group's primary frame
-        still precedes its replicas' on a shared host. The engine only
-        *records* replies; they are absorbed here afterwards in the
-        same sorted group/placement order the sequential loop used —
-        merge inputs and notification order are therefore independent
-        of arrival order. Hosts that died mid-cycle (failover already
-        ran) are skipped: their bookkeeping was surgically removed by
-        ``_on_host_down`` and must not be resurrected by a reply that
-        arrived before the verdict.
-        """
-        engine = CycleEngine(self)
-        self._engine = engine
-        try:
-            for group in sorted(self._placement):
-                for host in list(self._placement.get(group, ())):
-                    if host in self._dead:
-                        continue
-                    message = self._plan(
-                        host, group, now, collect, windows, frames
-                    )
-                    engine.submit(host, group, message)
-            engine.run()
-        finally:
-            self._engine = None
-        for group in sorted(self._placement):
-            hosts = list(self._placement.get(group, ()))
-            primary = hosts[0] if hosts else None
-            for host in hosts:
-                if host in self._dead:
-                    continue
-                reply = engine.replies.get((host, group))
-                if reply is None:
-                    continue
-                self._absorb(
-                    host,
-                    group,
-                    reply,
-                    pending if host == primary else None,
-                    ts_by_key,
-                )
-
-    def _refresh_group(
-        self,
-        group: int,
-        now: Timestamp,
-        collect: bool,
-        windows: Dict,
-        frames: Dict,
-        pending: Dict[str, List[DeltaRelation]],
-        ts_by_key: Dict[str, Timestamp],
-    ) -> None:
-        """Drive every store of one group through the cycle.
-
-        The snapshot of the placement is taken up front: when the
-        primary fails mid-loop, :meth:`_on_host_down` promotes the
-        replica in place, and the loop then reaches that replica with a
-        regular scatter frame — by then it *is* the primary, so its
-        gather feeds the merge and the cycle completes without a gap.
-        """
-        for host in list(self._placement.get(group, ())):
-            if host in self._dead:
-                continue
-            message = self._plan(host, group, now, collect, windows, frames)
-            reply = self._send(host, message)
-            if reply is None:
-                self._on_host_down(host)
-                continue
-            placement = self._placement.get(group, ())
-            primary = placement[0] if placement else None
-            self._absorb(
-                host,
-                group,
-                reply,
-                pending if host == primary else None,
-                ts_by_key,
-            )
-
     def _plan(
         self,
         host: int,
@@ -1052,7 +940,7 @@ class ClusterRouter:
         now: Timestamp,
         collect: bool,
         windows: Dict[Timestamp, Tuple[Dict, Set[str]]],
-        frames: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]],
+        slices: Dict[Tuple[int, Timestamp], Dict[str, DeltaRelation]],
     ) -> Message:
         """The store's frame for this cycle: a scatter when the missed
         window touches any of its group's footprints, a heartbeat
@@ -1061,7 +949,7 @@ class ClusterRouter:
         ``windows`` memoizes (window, routed-keys) by horizon for the
         cycle: in steady state every store shares one horizon, so the
         consolidated window is captured and footprint-matched once per
-        cycle, not once per store. ``frames`` memoizes the sliced
+        cycle, not once per store. ``slices`` memoizes the sliced
         per-table deltas by (group, horizon): a group's primary and
         replicas receive identical slices — that is what keeps replicas
         in lockstep — so the slicing work is done once per group.
@@ -1069,10 +957,7 @@ class ClusterRouter:
         horizon = self._store_horizons[(host, group)]
         cached = windows.get(horizon)
         if cached is None:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()],
-                horizon,
-            )
+            window = self._window(horizon)
             routed = self.index.match_batch(window) if window else set()
             cached = windows[horizon] = (window, routed)
         window, routed = cached
@@ -1081,29 +966,16 @@ class ClusterRouter:
             return ShardHeartbeatMessage(
                 host, self._seq, now, collect, group=group
             )
-        deltas = frames.get((group, horizon))
+        deltas = slices.get((group, horizon))
         if deltas is None:
-            local = {
+            local = [
                 sql_key
                 for sql_key in routed
                 if group in self._owners.get(sql_key, ())
-            }
-            deltas = {}
-            if local:
-                needed: Set[str] = set()
-                for sql_key in local:
-                    needed.update(self._queries[sql_key].table_names)
-                for name in sorted(needed):
-                    delta = window.get(name)
-                    if delta is None:
-                        continue
-                    if self._decls[name].partition_key is not None:
-                        delta = partition_filter(
-                            delta, self._partition(name, group)
-                        )
-                    if not delta.is_empty():
-                        deltas[name] = delta
-            frames[(group, horizon)] = deltas
+            ]
+            deltas = slices[(group, horizon)] = self._slice(
+                window, self._group_tables(local), group
+            )
         if not deltas:
             self.metrics.count(Metrics.SCATTER_SKIPPED)
             return ShardHeartbeatMessage(
@@ -1113,6 +985,31 @@ class ClusterRouter:
         return ScatterMessage(
             host, self._seq, now, deltas=deltas, collect=collect, group=group
         )
+
+    def _window(self, horizon: Timestamp) -> Dict[str, DeltaRelation]:
+        """Every table's consolidated delta since ``horizon``."""
+        return deltas_since(
+            [self.db.table(name) for name in self._all_tables()], horizon
+        )
+
+    def _slice(
+        self,
+        window: Dict[str, DeltaRelation],
+        tables: Sequence[str],
+        group: int,
+    ) -> Dict[str, DeltaRelation]:
+        """``window`` cut down to ``tables`` and to ``group``'s slice of
+        the partitioned ones, empty deltas dropped."""
+        deltas: Dict[str, DeltaRelation] = {}
+        for name in tables:
+            delta = window.get(name)
+            if delta is None:
+                continue
+            if self._decls[name].partition_key is not None:
+                delta = partition_filter(delta, self._partition(name, group))
+            if not delta.is_empty():
+                deltas[name] = delta
+        return deltas
 
     def _absorb(
         self,
@@ -1284,18 +1181,13 @@ class ClusterRouter:
         from what members saw, and the affected keys are queued for an
         exact reconcile instead of trusting the window.
 
-        During an overlapped cycle the promote frame is submitted to
-        the engine at the *front* of the target's queue instead of
-        sent inline: if the new primary's lockstep scatter has not
-        been dispatched yet, the promote still precedes it (the
-        bit-identical ordering); if the scatter already ran, the
-        promote's horizon mismatch queues the reconcile — exactly the
-        correctness ladder the sequential loop's ordering implied."""
-        hosts = [
-            h
-            for h in self._placement.get(group, ())
-            if h not in self._dead
-        ]
+        Mid-run (a failover detected by an engine run) the promote
+        frame joins that run at the *front* of the target's queue: if
+        the new primary's queued frame has not been dispatched yet,
+        the promote still precedes it (the bit-identical ordering); if
+        it already ran, the promote's horizon mismatch queues the
+        reconcile. Outside a run the promote gets a run of its own."""
+        hosts = self._live_hosts(group)
         if not hosts:
             self._lost.add(group)
             return
@@ -1311,18 +1203,11 @@ class ClusterRouter:
         message = ShardPromoteMessage(
             target, group, self._seq, served, subscribe=subscribe
         )
-        if self._engine is not None:
-            self._engine.submit(
-                target,
-                group,
-                message,
-                kind=PROMOTE,
-                front=True,
-                context=(served, owned),
-            )
-            return
-        reply = self._send(target, message)
-        self._finish_promote(group, target, served, owned, reply)
+        submit = dict(kind=PROMOTE, context=(served, owned))
+        if self._engine is None:
+            self._dispatch([(target, group, message)], **submit)
+        else:
+            self._engine.submit(target, group, message, front=True, **submit)
 
     def _finish_promote(
         self,
@@ -1375,20 +1260,11 @@ class ClusterRouter:
         subscribe = [
             {"cq": key, "sql": self._queries[key].to_sql()} for key in owned
         ]
-        self._seq += 1
-        reply = self._send(
-            host,
-            ScatterMessage(
-                host,
-                self._seq,
-                now,
-                baselines=baselines,
-                subscribe=subscribe,
-                group=group,
-            ),
+        frame = self._scatter(
+            host, group, now, baselines=baselines, subscribe=subscribe
         )
+        reply = self._dispatch([frame]).get((host, group))
         if reply is None:
-            self._on_host_down(host)
             return False
         self.metrics.count(Metrics.REREPLICATIONS)
         self._clear_group(group)
@@ -1406,20 +1282,14 @@ class ClusterRouter:
         if not self.replicas:
             return
         live = self._alive()
-        placed = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
         target = 1 + min(self.replicas, len(live) - 1)
-        need = target - len(placed)
+        need = target - len(self._live_hosts(group))
         if need <= 0:
             return
         for host in self._replica_targets(group, need):
             if self._seed_replica(group, host, now):
                 self.metrics.count(Metrics.REREPLICATIONS)
-        placed = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
-        if len(placed) < target:
+        if len(self._live_hosts(group)) < target:
             self._rerepl.append(group)  # retry when capacity returns
 
     def _seed_replica(self, group: int, host: int, now: Timestamp) -> bool:
@@ -1431,15 +1301,9 @@ class ClusterRouter:
             name: self._shard_view(name, group)
             for name in self._group_tables(owned)
         }
-        self._seq += 1
-        reply = self._send(
-            host,
-            ScatterMessage(
-                host, self._seq, now, baselines=baselines, group=group
-            ),
-        )
+        frame = self._scatter(host, group, now, baselines=baselines)
+        reply = self._dispatch([frame]).get((host, group))
         if reply is None:
-            self._on_host_down(host)
             return False
         self._place(group, host)
         self._store_horizons[(host, group)] = reply.ts
@@ -1456,10 +1320,7 @@ class ClusterRouter:
         come."""
         live = self._alive()
         target = 1 + min(self.replicas, max(len(live) - 1, 0))
-        placed = [
-            h for h in self._placement.get(group, ()) if h not in self._dead
-        ]
-        if group in self._lost or len(placed) < target:
+        if group in self._lost or len(self._live_hosts(group)) < target:
             return
         for host in sorted(self._pinned):
             pins = self._pinned[host]
@@ -1543,11 +1404,7 @@ class ClusterRouter:
             if group in self._lost:
                 self._rejoin_primary(shard_id, group, info, now, intact)
             elif group in self._placement:
-                live = [
-                    h
-                    for h in self._placement[group]
-                    if h not in self._dead
-                ]
+                live = self._live_hosts(group)
                 if shard_id not in live and len(live) < 1 + self.replicas:
                     self._rejoin_replica(shard_id, group, info, now)
                 elif shard_id not in live:
@@ -1595,20 +1452,9 @@ class ClusterRouter:
         deltas: Dict[str, DeltaRelation] = {}
         baselines: Dict[str, Relation] = {}
         if intact:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()],
-                horizon,
+            deltas = self._slice(
+                self._window(horizon), self._group_tables(owned), group
             )
-            for name in self._group_tables(owned):
-                delta = window.get(name)
-                if delta is None:
-                    continue
-                if self._decls[name].partition_key is not None:
-                    delta = partition_filter(
-                        delta, self._partition(name, group)
-                    )
-                if not delta.is_empty():
-                    deltas[name] = delta
             for sql_key in missing:
                 for name in sorted(set(self._queries[sql_key].table_names)):
                     baselines.setdefault(
@@ -1621,22 +1467,17 @@ class ClusterRouter:
             {"cq": key, "sql": self._queries[key].to_sql()}
             for key in missing
         ]
-        self._seq += 1
-        reply = self._send(
+        frame = self._scatter(
             host,
-            ScatterMessage(
-                host,
-                self._seq,
-                now,
-                deltas=deltas,
-                baselines=baselines,
-                subscribe=subscribe,
-                unsubscribe=stale,
-                group=group,
-            ),
+            group,
+            now,
+            deltas=deltas,
+            baselines=baselines,
+            subscribe=subscribe,
+            unsubscribe=stale,
         )
+        reply = self._dispatch([frame]).get((host, group))
         if reply is None:
-            self._on_host_down(host)
             return
         self._clear_group(group)
         self._place(group, host)
@@ -1665,38 +1506,20 @@ class ClusterRouter:
         deltas: Dict[str, DeltaRelation] = {}
         baselines: Dict[str, Relation] = {}
         if intact:
-            window = deltas_since(
-                [self.db.table(name) for name in self._all_tables()],
-                horizon,
-            )
-            for name in tables:
-                delta = window.get(name)
-                if delta is None:
-                    continue
-                if self._decls[name].partition_key is not None:
-                    delta = partition_filter(
-                        delta, self._partition(name, group)
-                    )
-                if not delta.is_empty():
-                    deltas[name] = delta
+            deltas = self._slice(self._window(horizon), tables, group)
         else:
             for name in tables:
                 baselines[name] = self._shard_view(name, group)
-        self._seq += 1
-        reply = self._send(
+        frame = self._scatter(
             host,
-            ScatterMessage(
-                host,
-                self._seq,
-                now,
-                deltas=deltas,
-                baselines=baselines,
-                unsubscribe=held,
-                group=group,
-            ),
+            group,
+            now,
+            deltas=deltas,
+            baselines=baselines,
+            unsubscribe=held,
         )
+        reply = self._dispatch([frame]).get((host, group))
         if reply is None:
-            self._on_host_down(host)
             return
         self._place(group, host)
         self._store_horizons[(host, group)] = reply.ts
@@ -1705,7 +1528,8 @@ class ClusterRouter:
     def _drain_store(self, host: int, group: int, now: Timestamp) -> None:
         """Best-effort detach of one store (its group moved on)."""
         self._seq += 1
-        self._send(host, ShardDrainMessage(host, self._seq, now, group=group))
+        message = ShardDrainMessage(host, self._seq, now, group=group)
+        self._dispatch([(host, group, message)], kind=DRAIN)
 
     def add_shard(self, weight: float = 1.0) -> int:
         """Grow the fleet by one shard (index handoff included).
@@ -1739,68 +1563,29 @@ class ClusterRouter:
         self.zones.register(self._zone(new_id), self._all_tables(), now)
         self._place(new_id, new_id)
         self._store_horizons[(new_id, new_id)] = now
-        # Re-slice partitioned tables everywhere: rows whose owner moved
-        # are deleted from the old group and inserted on the new one by
-        # each store's local baseline diff.
-        partitioned = sorted(
-            name
-            for name, decl in self._decls.items()
-            if decl.partition_key is not None
-        )
-        if partitioned:
-            for group in sorted(self._placement):
-                if group == new_id:
-                    continue
-                for host in list(self._placement[group]):
-                    if host in self._dead:
-                        continue
-                    baselines = {
-                        name: self._shard_view(name, group)
-                        for name in partitioned
-                    }
-                    self._seq += 1
-                    if self._send(
-                        host,
-                        ScatterMessage(
-                            host,
-                            self._seq,
-                            now,
-                            baselines=baselines,
-                            group=group,
-                        ),
-                    ) is None:
-                        self._on_host_down(host)
+        self._reslice(now, skip_group=new_id)
         # Index handoff + new-group registrations.
+        frames: List[Frame] = []
         for sql_key in sorted(self._owners):
             query = self._queries[sql_key]
             if sql_key in self._parallel:
                 self._owners[sql_key].add(new_id)
-                self._seed_group(new_id, sql_key, query, now)
+                frames += self._seed_frames(new_id, sql_key, query, now)
                 continue
             new_home = self.ring.lookup(sql_key)
             old_home = previous_home[sql_key]
             if new_home == old_home:
                 continue
             self._owners[sql_key] = {new_home}
-            old_hosts = [
-                h
-                for h in self._placement.get(old_home, ())
-                if h not in self._dead
-            ]
+            old_hosts = self._live_hosts(old_home)
             if old_hosts:
-                self._seq += 1
-                if self._send(
-                    old_hosts[0],
-                    ScatterMessage(
-                        old_hosts[0],
-                        self._seq,
-                        now,
-                        unsubscribe=[sql_key],
-                        group=old_home,
-                    ),
-                ) is None:
-                    self._on_host_down(old_hosts[0])
-            self._seed_group(new_home, sql_key, query, now)
+                frames.append(
+                    self._scatter(
+                        old_hosts[0], old_home, now, unsubscribe=[sql_key]
+                    )
+                )
+            frames += self._seed_frames(new_home, sql_key, query, now)
+        self._dispatch(frames)
         if self.replicas:
             live = self._alive()
             for host in self._replica_targets(
@@ -1869,53 +1654,25 @@ class ClusterRouter:
             h for h in self._placement.get(own, ()) if h != shard_id
         ]
         self.ring.remove_node(shard_id)
-        partitioned = sorted(
-            name
-            for name, decl in self._decls.items()
-            if decl.partition_key is not None
-        )
-        if partitioned:
-            for group in sorted(self._placement):
-                if group == own:
-                    continue
-                for host in list(self._placement[group]):
-                    if host in self._dead or host == shard_id:
-                        continue
-                    baselines = {
-                        name: self._shard_view(name, group)
-                        for name in partitioned
-                    }
-                    self._seq += 1
-                    if self._send(
-                        host,
-                        ScatterMessage(
-                            host,
-                            self._seq,
-                            now,
-                            baselines=baselines,
-                            group=group,
-                        ),
-                    ) is None:
-                        self._on_host_down(host)
+        self._reslice(now, skip_group=own)
         # Re-home the dissolved group's subscriptions.
+        frames: List[Frame] = []
         for sql_key in owned:
-            query = self._queries[sql_key]
             if sql_key in self._parallel:
                 self._owners[sql_key].discard(own)
             else:
                 new_home = self.ring.lookup(sql_key)
                 self._owners[sql_key] = {new_home}
-                self._seed_group(new_home, sql_key, query, now)
+                frames += self._seed_frames(
+                    new_home, sql_key, self._queries[sql_key], now
+                )
+        self._dispatch(frames)
         # Drain surviving replica stores of the dissolved group, then
         # stop the departing process cleanly.
         for host in replica_hosts:
             if host not in self._dead:
                 self._drain_store(host, own, now)
-        stop = getattr(self.backend, "stop", None)
-        if stop is not None:
-            stop(shard_id)
-        else:
-            self.backend.kill(shard_id)
+        self.backend.stop(shard_id)
         # 3) Forget the host — through the incremental bookkeeping
         # helpers, so _load/_host_cost stay consistent with _placement
         # (phantom entries would skew every future _replica_targets
@@ -1944,6 +1701,32 @@ class ClusterRouter:
             pins.discard(own)
         self._rerepl = [g for g in self._rerepl if g != own]
         self._drain_rereplication(now)
+
+    def _reslice(self, now: Timestamp, skip_group: int) -> None:
+        """Re-slice partitioned tables on every live store outside
+        ``skip_group`` after the ring changed, in one engine run: rows
+        whose owner moved are deleted from the old group and inserted
+        on the new one by each store's local baseline diff."""
+        partitioned = sorted(
+            name
+            for name, decl in self._decls.items()
+            if decl.partition_key is not None
+        )
+        if not partitioned:
+            return
+        frames = []
+        for group in sorted(self._placement):
+            if group == skip_group:
+                continue
+            for host in self._live_hosts(group):
+                baselines = {
+                    name: self._shard_view(name, group)
+                    for name in partitioned
+                }
+                frames.append(
+                    self._scatter(host, group, now, baselines=baselines)
+                )
+        self._dispatch(frames)
 
     def _reconcile(self, sql_keys: Sequence[str], now: Timestamp) -> None:
         """Snap members of ``sql_keys`` to the authoritative result,
@@ -2113,9 +1896,7 @@ class ClusterRouter:
         return out
 
     def close(self) -> None:
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
+        self.backend.close()
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,8 @@ that make that safe:
 
 * **Equivalence** — with a seeded shuffle deliberately reordering
   every gather batch, results and notification order are bit-identical
-  to the sequential (``overlap=False``) baseline, commit for commit.
+  to an unshuffled run, commit for commit, and every run matches a
+  full re-evaluation.
 * **Bounded by the slowest host** — with every shard of a
   ``ProcessBackend`` fleet slowed by ``d``, an overlapped cycle
   finishes in about ``d``, not ``shards × d`` (the sequential sum).
@@ -25,7 +26,6 @@ from repro.cluster import (
     LocalBackend,
     ProcessBackend,
 )
-from repro.cluster.dispatch import supports_overlap
 from repro.metrics import Metrics
 
 JOIN_SQL = (
@@ -42,7 +42,6 @@ def make_cluster(
     shards=3,
     replicas=0,
     seed=7,
-    overlap=True,
     shuffle_seed=None,
     wal_root=None,
     fault_hook=None,
@@ -57,10 +56,8 @@ def make_cluster(
         seed=seed,
         backend=backend,
         replicas=replicas,
-        overlap=overlap,
         request_timeout=5.0,
         retries=1,
-        sleep=lambda delay: None,
         **kwargs,
     )
     router.declare_table(
@@ -98,12 +95,18 @@ def make_cluster(
     return router
 
 
+def assert_converged(router):
+    for name, sql in ALL_CQS.items():
+        assert router.result("c", name) == router.db.query(sql), name
+
+
 def run_script(router):
     """One fixed multi-round workload: ticks, inserts, moves, deletes."""
     db = router.db
     stocks = db.table("stocks")
     positions = db.table("positions")
     router.refresh()
+    assert_converged(router)
     for round_no in range(6):
         with db.begin() as txn:
             for row in list(stocks.current):
@@ -133,6 +136,7 @@ def run_script(router):
                 for tid in doomed:
                     txn.delete_from(positions, tid)
         router.refresh()
+        assert_converged(router)
     return {
         name: list(r.values for r in router.result("c", name))
         for name in ALL_CQS
@@ -140,13 +144,12 @@ def run_script(router):
 
 
 class TestOutOfOrderEquivalence:
-    """Shuffled gather arrival vs the sequential baseline."""
+    """Shuffled gather arrival vs an unshuffled run."""
 
     @pytest.mark.parametrize("shuffle_seed", [1, 12, 123])
     def test_results_and_notifications_bit_identical(self, shuffle_seed):
         baseline_events = []
-        baseline = make_cluster(overlap=False, recorder=baseline_events)
-        assert not supports_overlap(object())
+        baseline = make_cluster(recorder=baseline_events)
         expected = run_script(baseline)
 
         shuffled_events = []
@@ -198,18 +201,15 @@ class TestOutOfOrderEquivalence:
 
     def test_injected_crash_counts_match_sequential(self):
         """A one-shot reply-phase crash on a live host retries and
-        pairs exactly-once — identical counter deltas to the blocking
-        path (no fail-fast: the host object is still alive)."""
+        pairs exactly-once: one suspect, one retry, nothing else, in
+        arrival order and shuffled (no fail-fast: the host object is
+        still alive)."""
         from repro.net.messages import ScatterMessage
 
-        counts = {}
-        for mode, shuffle in (("seq", None), ("overlap", 5)):
+        for shuffle_seed in (None, 5):
             injector = FaultInjector()
             router = make_cluster(
-                replicas=1,
-                overlap=(mode == "overlap"),
-                shuffle_seed=shuffle,
-                fault_hook=injector,
+                replicas=1, shuffle_seed=shuffle_seed, fault_hook=injector
             )
             router.refresh()
             injector.crash(
@@ -229,9 +229,8 @@ class TestOutOfOrderEquivalence:
                     )
             before = router.metrics.snapshot()
             router.refresh()
-            for name, sql in ALL_CQS.items():
-                assert router.result("c", name) == router.db.query(sql)
-            counts[mode] = {
+            assert_converged(router)
+            counts = {
                 k: v
                 for k, v in router.metrics.diff(before).items()
                 if k.startswith("cluster_")
@@ -242,8 +241,11 @@ class TestOutOfOrderEquivalence:
                     Metrics.SCATTER_SKIPPED,
                 )
             }
+            assert counts == {
+                Metrics.SUSPECTS: 1,
+                Metrics.SCATTER_RETRIES: 1,
+            }, shuffle_seed
             assert injector.fired == [(1, "reply")]
-        assert counts["overlap"] == counts["seq"]
 
 
 class TestWallClockBoundedBySlowest:

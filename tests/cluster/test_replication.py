@@ -42,7 +42,6 @@ def make_cluster(
         replicas=replicas,
         request_timeout=5.0,
         retries=1,
-        sleep=lambda delay: None,  # tests never really sleep
         **kwargs,
     )
     router.declare_table(
@@ -463,3 +462,67 @@ class TestAddShardReplicated:
         tick_stock(router, 4, 300.0)
         router.refresh()
         assert_converged(router)
+
+
+class TestControlPlaneRetries:
+    """Control-plane frames ride the same engine as refresh: a lost
+    reply during seeding or a re-slice is retried on the engine's
+    timers (never a blocking sleep), paired exactly-once, and never
+    mistaken for a dead host."""
+
+    @pytest.fixture
+    def slept(self, monkeypatch):
+        import time
+
+        calls = []
+
+        def forbidden(seconds):
+            calls.append(seconds)
+            raise AssertionError(f"control plane slept {seconds}s")
+
+        monkeypatch.setattr(time, "sleep", forbidden)
+        return calls
+
+    @staticmethod
+    def _assert_one_clean_retry(router, injector, slept):
+        assert slept == []
+        assert injector.fired == [(1, "reply")]
+        snapshot = router.metrics.snapshot()
+        assert snapshot.get(Metrics.SCATTER_RETRIES, 0) == 1
+        assert snapshot.get(Metrics.FAILOVERS, 0) == 0
+        assert all(
+            info["alive"] for info in router.stats()["shards"].values()
+        )
+        router.refresh()
+        assert_converged(router)
+
+    def test_subscribe_seeding_retries_without_sleep(self, slept):
+        injector = FaultInjector()
+        router = make_cluster(
+            shards=3, replicas=1, fault_hook=injector, subscribe=False
+        )
+        injector.crash(
+            1,
+            phase="reply",
+            times=1,
+            match=lambda m: isinstance(m, ScatterMessage) and m.baselines,
+        )
+        for name, sql in ALL_CQS.items():
+            router.subscribe("c", name, sql)
+        self._assert_one_clean_retry(router, injector, slept)
+
+    def test_add_shard_reslice_retries_without_sleep(self, slept):
+        injector = FaultInjector()
+        router = make_cluster(shards=3, replicas=1, fault_hook=injector)
+        # The first baseline frame host 1 sees after the leading
+        # refresh is its partitioned-table re-slice.
+        injector.crash(
+            1,
+            phase="reply",
+            times=1,
+            match=lambda m: isinstance(m, ScatterMessage)
+            and set(m.baselines) == {"positions"}
+            and not m.subscribe,
+        )
+        router.add_shard()
+        self._assert_one_clean_retry(router, injector, slept)

@@ -453,7 +453,6 @@ class TestReplicatedChaosSoak:
             ),
             request_timeout=5.0,
             retries=1,
-            sleep=lambda delay: None,
         )
         router.declare_table("stocks", SCHEMA)
         router.declare_table(
